@@ -126,10 +126,10 @@ def main():
             metrics, summary = spans.analyze(path)
             for line in spans.describe(label, summary):
                 print(line)
-            # The legs telescope to the sojourn; a request whose legs do
-            # not add up was joined to the wrong spans.
+            # A request whose stamps are out of causal order was joined
+            # to the wrong spans.
             result["attempted"] += summary["requests"]
-            result["failed"] += summary["mismatched"]
+            result["failed"] += summary["misordered"]
             if label == "high":
                 for name, (value, unit) in metrics.items():
                     result["metrics"][name] = {"value": value, "unit": unit}

@@ -3,9 +3,11 @@
 Each row is `name start_ns end_ns parent id value` (see
 src/tracing.h). Spans of one request share its id; `port.recv_batch`
 rows carry id -1 and the batch size as value. The reader joins each
-request's spans, splits its sojourn into five legs that add up to it
-exactly, computes each span's self time (its duration minus what its
-children cover), and derives the per-layer metrics.
+request's spans, checks that their stamps are in the order causality
+demands (a span joined to the wrong request breaks it), splits the
+sojourn into five consecutive legs, computes each span's self time (its
+duration minus what its children cover), and derives the per-layer
+metrics.
 
     python3 perfbench/spans.py SPANS.tsv   # prints the breakdown
 """
@@ -45,12 +47,21 @@ def analyze(path):
     legs = {leg: [] for leg in LEGS}
     sojourn, gen, process, overrun, recv = [], [], [], [], []
     self_ns = {"req": 0, "server.service": 0, "apps.process": 0, "client.send": 0}
-    mismatched = 0
+    misordered = 0
     for spans in requests.values():
         req_s, req_e, _ = spans["req"]
         send_s, send_e, _ = spans["client.send"]
         svc_s, svc_e, _ = spans["server.service"]
         proc_s, proc_e, model = spans["apps.process"]
+        recv_e = spans["client.recv"][1]
+        # Scheduled send <= send entry <= send exit; the service cannot
+        # start before the send was entered; startNs <= process start <=
+        # process end <= endNs <= receipt of the response.
+        if not (
+            req_s <= send_s <= send_e
+            and send_s <= svc_s <= proc_s <= proc_e <= req_e <= recv_e
+        ):
+            misordered += 1
         parts = {
             "wake": send_s - req_s,
             "send": send_e - send_s,
@@ -58,8 +69,6 @@ def analyze(path):
             "service": svc_e - svc_s,
             "outbound": req_e - svc_e,
         }
-        if sum(parts.values()) != req_e - req_s:
-            mismatched += 1
         for leg, v in parts.items():
             legs[leg].append(v)
         sojourn.append(req_e - req_s)
@@ -102,7 +111,7 @@ def analyze(path):
     means = {leg: (sum(v) / n / 1e3 if n else 0.0) for leg, v in legs.items()}
     summary = {
         "requests": n,
-        "mismatched": mismatched,
+        "misordered": misordered,
         "mean_sojourn_us": sum(sojourn) / n / 1e3 if n else 0.0,
         "mean_leg_us": means,
         "mean_self_us": {k: (v / n / 1e3 if n else 0.0) for k, v in self_ns.items()},
@@ -115,14 +124,14 @@ def describe(label, summary):
     legs = summary["mean_leg_us"]
     total = sum(legs.values())
     lines = [
-        "legs %s n %d  %s  sum %.2f us  mean sojourn %.2f us  mismatched %d"
+        "legs %s n %d  %s  sum %.2f us  mean sojourn %.2f us  misordered %d"
         % (
             label,
             summary["requests"],
             "  ".join("%s %.2f" % (k, v) for k, v in legs.items()),
             total,
             summary["mean_sojourn_us"],
-            summary["mismatched"],
+            summary["misordered"],
         ),
         "self %s  %s"
         % (label, "  ".join("%s %.2f us" % kv for kv in summary["mean_self_us"].items())),

@@ -112,12 +112,6 @@ parseArgs(int argc, char** argv)
 }
 
 double
-minOf(const std::vector<double>& v)
-{
-    return v.empty() ? 0.0 : *std::min_element(v.begin(), v.end());
-}
-
-double
 median(std::vector<double> v)
 {
     if (v.empty())
@@ -188,44 +182,13 @@ printContext(const Args& a, const std::string& loadavg)
         env.c_str());
 }
 
-/** Aggregate CPU time of the host as the guest kernel accounts it. */
-struct HostCpu {
-    uint64_t total = 0;
-    uint64_t steal = 0;
-
-    static HostCpu
-    read()
-    {
-        // "cpu  user nice system idle iowait irq softirq steal ..."
-        HostCpu c;
-        std::ifstream f("/proc/stat");
-        std::string tag;
-        f >> tag;
-        for (int i = 0; i < 8 && f; i++) {
-            uint64_t v = 0;
-            f >> v;
-            c.total += v;
-            if (i == 7)
-                c.steal = v;
-        }
-        return c;
-    }
-
-    /** Percent of CPU time stolen by the hypervisor since @p since. */
-    double
-    stealPctSince(const HostCpu& since) const
-    {
-        const uint64_t dt = total - since.total;
-        return dt == 0 ? 0.0
-                       : 100.0 * static_cast<double>(steal - since.steal) /
-                static_cast<double>(dt);
-    }
-};
-
 struct Metric {
     std::string name;
     double value;
     const char* unit;
+    /** Printed on an "ungated" report line only, never in the result
+     * object: too unsteady on a shared host to hold a bound. */
+    bool gated = true;
 };
 
 /** Accumulates the correctness gate over every phase of a run. */
@@ -245,96 +208,84 @@ struct Gate {
     }
 };
 
-/** One fixed-rate segment, with the host's steal measured around it. */
+/** One fixed-rate segment. */
 struct Segment {
-    std::vector<double> windowP50, windowP99;  // ns
-    double p99 = 0.0;  // ns, the whole segment's
+    double p50Ns = 0.0, p99Ns = 0.0;  // over the segment's requests
+    double medianWindowP99Ns = 0.0;
     double lateFrac = 0.0;
     double cpuSeconds = 0.0;
-    double stealPct = 0.0;
     uint64_t sent = 0;
-    uint64_t samples = 0;
 };
 
 /**
- * Every segment run at one fixed rate. The metrics take the best
- * window (latency) or segment (lateness) of the run: on a shared
- * host the hypervisor steals this VM's CPUs in multi-millisecond
- * slices, which only ever adds latency and lateness, so the best window
- * is what repeats from run to run. The report prints, per segment, the
- * stolen share of CPU time (/proc/stat), and for the whole rate the
- * median and worst window, so host noise and stalls stay visible.
+ * Every segment run at one fixed rate, pooled as if it were one run:
+ * the p50 and p99 over all measured requests, the median over all
+ * reporting windows (kWindowRequests each) of their p99, and the share
+ * of all measured requests sent late. A stall moves the pooled
+ * statistics wherever it lands, and the windowed p99 when it hits
+ * most windows. The report prints each segment too.
  */
 struct RateSeries {
     const char* label;
     double qps;
-    std::vector<Segment> segments;
+    std::vector<Segment> segments{};
+    std::vector<int64_t> sojournNs{};    // every measured request
+    std::vector<double> windowP99Ns{};   // every window
+    double lateRequests = 0.0;
 
     void
-    add(const PointResult& r, double stealPct)
+    add(const PointResult& r)
     {
         Segment seg;
-        for (const core::WindowStats& w : r.run.windows) {
-            if (w.count == 0)
-                continue;
-            seg.windowP50.push_back(static_cast<double>(w.sojournP50Ns));
-            seg.windowP99.push_back(static_cast<double>(w.sojournP99Ns));
-        }
-        seg.p99 = static_cast<double>(r.run.latency.sojourn.p99Ns);
+        seg.p50Ns = static_cast<double>(r.run.latency.sojourn.p50Ns);
+        seg.p99Ns = static_cast<double>(r.run.latency.sojourn.p99Ns);
+        seg.medianWindowP99Ns = perfbench::medianWindowP99(r.run);
         seg.lateFrac = r.run.coLateFrac;
         seg.cpuSeconds = r.cpuSeconds;
-        seg.stealPct = stealPct;
         seg.sent = r.sent;
-        seg.samples = r.run.latency.sojourn.count;
-        segments.push_back(std::move(seg));
+        segments.push_back(seg);
+        for (const core::RequestTiming& t : r.run.samples)
+            sojournNs.push_back(t.sojournNs());
+        for (const core::WindowStats& w : r.run.windows)
+            if (w.count > 0)
+                windowP99Ns.push_back(static_cast<double>(w.sojournP99Ns));
+        lateRequests += r.run.coLateFrac *
+            static_cast<double>(r.run.latency.sojourn.count);
     }
 
-    std::vector<double>
-    windows(std::vector<double> Segment::*field) const
+    core::LatencySummary
+    sojourn() const
     {
-        std::vector<double> all;
-        for (const Segment& s : segments)
-            all.insert(all.end(), (s.*field).begin(), (s.*field).end());
-        return all;
+        return core::summarizeNs(sojournNs);
     }
-    double p50() const { return minOf(windows(&Segment::windowP50)); }
-    double p99() const { return minOf(windows(&Segment::windowP99)); }
-
+    double medianWindowP99() const { return median(windowP99Ns); }
     double
     lateFrac() const
     {
-        std::vector<double> v;
-        for (const Segment& s : segments)
-            v.push_back(s.lateFrac);
-        return minOf(v);
+        return sojournNs.empty()
+            ? 0.0
+            : lateRequests / static_cast<double>(sojournNs.size());
     }
 
     void
     print() const
     {
-        double worst_window = 0.0;
-        double worst_segment = 0.0;
-        uint64_t samples = 0;
         for (size_t i = 0; i < segments.size(); i++) {
             const Segment& s = segments[i];
-            for (double v : s.windowP99)
-                worst_window = std::max(worst_window, v);
-            worst_segment = std::max(worst_segment, s.p99);
-            samples += s.samples;
-            std::printf("segment %-4s %zu  steal %5.1f%%  window-median p50 "
-                        "%.1f us  p99 %.1f us  late_frac %.4f\n",
-                        label, i, s.stealPct, median(s.windowP50) / 1e3,
-                        median(s.windowP99) / 1e3, s.lateFrac);
+            std::printf("segment %-4s %zu  p50 %.1f us  p99 %.1f us  "
+                        "median-window p99 %.1f us  late_frac %.4f\n",
+                        label, i, s.p50Ns / 1e3, s.p99Ns / 1e3,
+                        s.medianWindowP99Ns / 1e3, s.lateFrac);
         }
-        std::printf("rate %-4s %.0f qps  best window p50 %.1f us  p99 %.1f "
-                    "us  late_frac %.4f  | median window p50 %.1f us  p99 "
-                    "%.1f us | %zu segments, %llu samples, worst window p99 "
-                    "%.1f us, worst segment p99 %.1f us\n",
-                    label, qps, p50() / 1e3, p99() / 1e3, lateFrac(),
-                    median(windows(&Segment::windowP50)) / 1e3,
-                    median(windows(&Segment::windowP99)) / 1e3,
-                    segments.size(), static_cast<unsigned long long>(samples),
-                    worst_window / 1e3, worst_segment / 1e3);
+        const core::LatencySummary all = sojourn();
+        std::printf("rate %-4s %.0f qps  p50 %.1f us  p99 %.1f us  "
+                    "median-window p99 %.1f us  late_frac %.4f  n %llu  "
+                    "windows %zu\n",
+                    label, qps, static_cast<double>(all.p50Ns) / 1e3,
+                    static_cast<double>(all.p99Ns) / 1e3,
+                    medianWindowP99() / 1e3, lateFrac(),
+                    static_cast<unsigned long long>(all.count),
+                    windowP99Ns.size());
     }
 };
 
@@ -360,6 +311,7 @@ pointSpec(double qps, double seconds, uint64_t seed)
     spec.seconds = seconds;
     spec.warmupSeconds = kWarmupSeconds;
     spec.seed = seed;
+    spec.keepSamples = true;
     return spec;
 }
 
@@ -367,11 +319,15 @@ pointSpec(double qps, double seconds, uint64_t seed)
  * The virtual-time work of a run, app by app. Each app's CPU time is
  * its median over its calls: other tenants' cache and memory traffic
  * moves it both ways, in phases of seconds, so the calls are spread
- * over the run.
+ * over the run. The host also runs slower or faster for minutes at a
+ * time, which moves every call of a run alike, so the times are
+ * rescaled to the nominal host by the run's median referenceSeconds(),
+ * gauged before every call.
  */
 struct VtSeries {
     std::vector<std::vector<SimSample>> sim;      // per app, per call
     std::vector<std::vector<TraceSample>> trace;  // per app, per call
+    std::vector<double> reference;                // before every call
 
     explicit VtSeries(const VirtualTime& vt)
         : sim(vt.simApps()), trace(vt.traceApps())
@@ -381,6 +337,7 @@ struct VtSeries {
     void
     simulate(const VirtualTime& vt, size_t app, Gate& gate)
     {
+        reference.push_back(referenceSeconds());
         sim[app].push_back(vt.simulate(app));
         account(sim[app].back().checks, gate);
     }
@@ -388,6 +345,7 @@ struct VtSeries {
     void
     traceApp(const VirtualTime& vt, size_t app, Gate& gate)
     {
+        reference.push_back(referenceSeconds());
         trace[app].push_back(vt.trace(app));
         account(trace[app].back().checks, gate);
     }
@@ -414,18 +372,23 @@ struct VtSeries {
         const uint64_t digest =
             VirtualTime::combine(sim_digests, trace_digests) ^
             (faults.perturbDigest ? 1u : 0u);
-        std::printf("virtual-time digest %016llx (%llu calls)\n",
+        std::printf("virtual-time digest %016llx (%llu calls), reference "
+                    "median %.3f ms (nominal %.3f ms)\n",
                     static_cast<unsigned long long>(digest),
-                    static_cast<unsigned long long>(calls));
+                    static_cast<unsigned long long>(calls),
+                    median(reference) * 1e3,
+                    kReferenceNominalSeconds * 1e3);
         Checks golden;
         vt.checkGolden(digest, golden);
         account(golden, gate);
     }
 
+    /** Sum over apps of each app's median CPU seconds, at the nominal
+     * host's speed. */
     template <typename Sample>
-    static double
+    double
     medianSum(const std::vector<std::vector<Sample>>& perApp,
-              double Sample::*field)
+              double Sample::*field) const
     {
         double total = 0.0;
         for (const std::vector<Sample>& calls : perApp) {
@@ -434,7 +397,15 @@ struct VtSeries {
                 v.push_back(s.*field);
             total += median(v);
         }
-        return total;
+        return total * speedScale();
+    }
+
+    /** Converts this run's CPU or wall seconds to the nominal host's,
+     * by the median of the reference gauged before every call. */
+    double
+    speedScale() const
+    {
+        return kReferenceNominalSeconds / median(reference);
     }
 
     double simSeconds() const { return medianSum(sim, &SimSample::simSeconds); }
@@ -457,13 +428,15 @@ struct VtSeries {
                                    trace.size());
     }
 
-    /** Simulated requests per CPU second over SimHarness + simulateMgn. */
+    /** Simulated requests per nominal-host CPU second over SimHarness +
+     * simulateMgn. */
     double
     mreqPerS() const
     {
         return 2.0 * simRequests() / (simSeconds() + mgnSeconds()) / 1e6;
     }
-    /** Simulated instructions per CPU second of measureTraceMpki. */
+    /** Simulated instructions per nominal-host CPU second of
+     * measureTraceMpki. */
     double
     minstrPerS() const
     {
@@ -504,23 +477,20 @@ endToEnd(const Args& a, Path path, Gate& gate, std::vector<Metric>& metrics)
             setup.push_back(s.seconds);
             gate.account("setup probe", s.probe.measured, s.probe.failures);
         }
-        const HostCpu t0 = HostCpu::read();
         const PointResult lo = runPoint(
             path, *app, pointSpec(low.qps, segment, a.seed * 64 + 2 * r),
             nullptr, a.faults);
-        const HostCpu t1 = HostCpu::read();
         const PointResult hi = runPoint(
             path, *app, pointSpec(high.qps, segment, a.seed * 64 + 2 * r + 1),
             nullptr, a.faults);
-        const HostCpu t2 = HostCpu::read();
         gate.account("low", lo.measured, lo.failures);
         gate.account("high", hi.measured, hi.failures);
-        low.add(lo, t1.stealPctSince(t0));
-        high.add(hi, t2.stealPctSince(t1));
-        // Two simulated and three traced apps a round: every app gets
-        // at least three calls, at different points of the run.
-        for (size_t k : {0, 2})
-            vts.simulate(vt, (r + k) % vt.simApps(), gate);
+        low.add(lo);
+        high.add(hi);
+        // Every simulated app and three traced apps a round: every app
+        // gets at least three calls, at different points of the run.
+        for (size_t k = 0; k < vt.simApps(); k++)
+            vts.simulate(vt, k, gate);
         for (size_t k : {0, 3, 6})
             vts.traceApp(vt, (r + k) % vt.traceApps(), gate);
     }
@@ -534,8 +504,9 @@ endToEnd(const Args& a, Path path, Gate& gate, std::vector<Metric>& metrics)
     for (int r = 0; r < kCapacityRounds; r++)
         cap.round();
     gate.account("capacity", cap.measured(), cap.failures());
-    std::printf("setup median %.6f s (%zu samples)\n", median(setup),
-                setup.size());
+    std::printf("setup median %.6f s (%zu samples), %.6f s at the nominal "
+                "host's speed\n",
+                median(setup), setup.size(), median(setup) * vts.speedScale());
     low.print();
     high.print();
     for (const std::string& line : cap.log())
@@ -543,7 +514,9 @@ endToEnd(const Args& a, Path path, Gate& gate, std::vector<Metric>& metrics)
     std::printf("capacity max_qps_at_slo %.0f (median rung %+d, %d trials)\n",
                 cap.qps(), cap.medianRung(), cap.trials());
 
-    metrics.push_back({"setup_s", median(setup), "s"});
+    // Set-up is mostly App::init, CPU work that the host's speed moves
+    // as it moves the virtual-time calls.
+    metrics.push_back({"setup_s", median(setup) * vts.speedScale(), "s"});
     metrics.push_back(
         {"peak_rss_mb", static_cast<double>(ru.ru_maxrss) / 1024.0, "MB"});
     std::vector<double> cpu_per_req;  // one per round
@@ -553,14 +526,28 @@ endToEnd(const Args& a, Path path, Gate& gate, std::vector<Metric>& metrics)
         cpu_per_req.push_back((l.cpuSeconds + h.cpuSeconds) * 1e6 /
                               static_cast<double>(l.sent + h.sent));
     }
-    // The low-rate latencies are reported (the "rate low" line) but not
-    // gated: at 10k qps every request wakes parked threads, and on a
-    // shared host a vCPU's wake-up latency comes and goes in waves of
-    // minutes, which on loopback (three wakes per request) lift even
-    // the best window of a whole run several-fold.
-    metrics.push_back({"p50_us.high", high.p50() / 1e3, "us"});
-    metrics.push_back({"p99_us.high", high.p99() / 1e3, "us"});
-    metrics.push_back({"max_qps_at_slo", cap.qps(), "1/s"});
+    // The latencies and the capacity are reported ungated: on a shared
+    // host they do not repeat within a bound from run to run. At high,
+    // the loopback stack runs near its knee, where the hypervisor's
+    // multi-millisecond descheduling of a vCPU backs the queues up; on
+    // a shared 4-vCPU host, ten consecutive runs gave a windowed p99 at
+    // high of 0.34-4.3 ms, a p99 over all requests of 1-125 ms and a
+    // capacity of 0-70k qps. At low every request wakes parked
+    // threads, and a vCPU's wake-up latency comes and goes with the
+    // host's load.
+    const core::LatencySummary hi_all = high.sojourn();
+    const core::LatencySummary lo_all = low.sojourn();
+    const auto us = [](int64_t ns) { return static_cast<double>(ns) / 1e3; };
+    metrics.push_back({"p50_us.high", us(hi_all.p50Ns), "us", false});
+    metrics.push_back(
+        {"p99_us.high", high.medianWindowP99() / 1e3, "us", false});
+    metrics.push_back({"p99_all_us.high", us(hi_all.p99Ns), "us", false});
+    metrics.push_back({"p50_us.low", us(lo_all.p50Ns), "us", false});
+    metrics.push_back(
+        {"p99_us.low", low.medianWindowP99() / 1e3, "us", false});
+    metrics.push_back({"p99_all_us.low", us(lo_all.p99Ns), "us", false});
+    metrics.push_back({"late_frac.low", low.lateFrac(), "frac", false});
+    metrics.push_back({"max_qps_at_slo", cap.qps(), "1/s", false});
     metrics.push_back({"late_frac.high", high.lateFrac(), "frac"});
     // CPU per request is not one-sided under host noise (batching grows
     // when the stack falls behind), so it takes the median round.
@@ -630,8 +617,8 @@ traced(const Args& a, Path path, Gate& gate, std::vector<Metric>& metrics)
         printPoint((std::string(labels[i]) + "+trace").c_str(), specs[i].qps,
                    r);
         overhead += 50.0 *
-            (bestWindowP50(r.run) /
-                 std::max(1.0, bestWindowP50(plain.run)) -
+            (static_cast<double>(r.run.latency.sojourn.p50Ns) /
+                 std::max<double>(1.0, plain.run.latency.sojourn.p50Ns) -
              1.0);
         const std::string file =
             a.spans + "/" + a.workload + "-" + labels[i] + ".tsv";
@@ -688,8 +675,12 @@ run(const Args& a)
         std::printf("FAILED %s\n", f.c_str());
     if (correct)
         for (const Metric& m : metrics)
-            std::printf("metric %-30s %.6g %s\n", m.name.c_str(), m.value,
-                        m.unit);
+            std::printf("%-7s %-30s %.6g %s\n",
+                        m.gated ? "metric" : "ungated", m.name.c_str(),
+                        m.value, m.unit);
+    metrics.erase(std::remove_if(metrics.begin(), metrics.end(),
+                                 [](const Metric& m) { return !m.gated; }),
+                  metrics.end());
     std::string json = "{\"correct\": ";
     json += correct ? "true" : "false";
     json += ", \"attempted\": " + std::to_string(gate.attempted) +

@@ -139,6 +139,7 @@ runPoint(Path path, apps::App& app, const PointSpec& spec,
     cfg.measuredRequests = std::max<uint64_t>(
         1, static_cast<uint64_t>(std::llround(spec.qps * spec.seconds)));
     cfg.seed = spec.seed;
+    cfg.keepSamples = spec.keepSamples;
     cfg.sloTargetNs = Pinned::kSloNs;
     cfg.windows = static_cast<unsigned>(std::max<double>(
         1.0, static_cast<double>(cfg.measuredRequests) /
@@ -205,35 +206,17 @@ measureSetup(Path path, uint64_t seed, const Faults& faults,
     return s;
 }
 
-namespace {
-
 double
-bestWindow(const core::RunResult& r, int64_t core::WindowStats::*field)
+medianWindowP99(const core::RunResult& r)
 {
-    int64_t best = 0;
-    bool any = false;
-    for (const core::WindowStats& w : r.windows) {
-        if (w.count == 0)
-            continue;
-        if (!any || w.*field < best)
-            best = w.*field;
-        any = true;
-    }
-    return static_cast<double>(best);
-}
-
-}  // namespace
-
-double
-bestWindowP50(const core::RunResult& r)
-{
-    return bestWindow(r, &core::WindowStats::sojournP50Ns);
-}
-
-double
-bestWindowP99(const core::RunResult& r)
-{
-    return bestWindow(r, &core::WindowStats::sojournP99Ns);
+    std::vector<int64_t> v;
+    for (const core::WindowStats& w : r.windows)
+        if (w.count > 0)
+            v.push_back(w.sojournP99Ns);
+    if (v.empty())
+        return 0.0;
+    std::sort(v.begin(), v.end());
+    return static_cast<double>(v[(v.size() - 1) / 2]);
 }
 
 CapacitySearch::CapacitySearch(Path path, apps::App& app,
@@ -259,13 +242,13 @@ CapacitySearch::passes(int rung)
     trials_++;
     measured_ += r.measured;
     failures_ += r.failures;
-    const double p99 = bestWindowP99(r.run);
+    const double p99 = medianWindowP99(r.run);
     const bool ok = r.failures == 0 &&
         p99 <= static_cast<double>(Pinned::kSloNs) &&
         r.run.achievedQps >= Pinned::kMinAchieved * spec.qps;
     char line[192];
     std::snprintf(line, sizeof(line),
-                  "rung %+d offered %.0f achieved %.0f best-window p99 "
+                  "rung %+d offered %.0f achieved %.0f median-window p99 "
                   "%.1f us n %llu -> %s",
                   rung, spec.qps, r.run.achievedQps, p99 / 1e3,
                   static_cast<unsigned long long>(
@@ -278,16 +261,13 @@ CapacitySearch::passes(int rung)
 void
 CapacitySearch::round()
 {
-    // Binary search over the whole ladder. Invariant: lo passes (or is
-    // below the ladder), hi fails (or is above it). The first probe is
-    // the median of the earlier estimates (the ladder base at first),
-    // which saves probes but decides nothing: every round can reach
-    // every rung.
+    // Binary search over the whole ladder, from the ladder base.
+    // Invariant: lo passes (or is below the ladder), hi fails (or is
+    // above it). Rounds are independent, so a round misled by a noisy
+    // trial does not steer the others.
     int lo = Pinned::kLadderMin - 1;
     int hi = Pinned::kLadderMax + 1;
-    int mid = estimates_.empty()
-        ? 0
-        : std::max(Pinned::kLadderMin, medianRung());
+    int mid = 0;
     while (hi - lo > 1) {
         if (passes(mid))
             lo = mid;

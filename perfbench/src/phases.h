@@ -54,6 +54,8 @@ struct PointSpec {
     double seconds = 0.0;        // measured span
     double warmupSeconds = 0.0;  // excluded from every statistic
     uint64_t seed = 0;
+    /** Keep every measured timing in the result (RunResult::samples). */
+    bool keepSamples = false;
 };
 
 struct PointResult {
@@ -101,9 +103,9 @@ SetupSample measureSetup(Path path, uint64_t seed, const Faults& faults,
 /**
  * The capacity search: the highest rung of a fixed ladder whose trial
  * keeps up (achieved >= kMinAchieved * offered, every request answered)
- * and meets the SLO in its best window: host steal blows a
- * window's p99 at any rate, while past the knee the backlog blows every
- * window's. Each round() adds one estimate, by its own binary search
+ * and meets the SLO in its median window: a stall blows the p99 of the
+ * windows it hits, while past the knee the backlog blows most of them.
+ * Each round() adds one estimate, by its own binary search
  * over the whole ladder. The result is the median estimate, so it is
  * confirmed by repeated trials and no single noisy trial decides it.
  */
@@ -140,10 +142,9 @@ class CapacitySearch {
     std::vector<std::string> log_;
 };
 
-/** Lowest p50 / p99 sojourn over @p r's windows (kWindowRequests
- * each), in ns. */
-double bestWindowP50(const core::RunResult& r);
-double bestWindowP99(const core::RunResult& r);
+/** Median over @p r's windows (kWindowRequests each) of their p99
+ * sojourn, in ns. */
+double medianWindowP99(const core::RunResult& r);
 
 double ladderQps(int rung);
 

@@ -8,13 +8,6 @@
 
 namespace tb::perfbench {
 
-namespace {
-
-// Worker index of the calling service thread (TracedPort::bindWorker).
-thread_local uint32_t t_worker = 0;
-
-}  // namespace
-
 TraceStore::TraceStore(size_t requests, uint64_t warmupRequests)
     : warmup(warmupRequests),
       genStart(requests),
@@ -115,16 +108,8 @@ TracedPort::recvReqBatch(std::vector<core::Request>& out, size_t max)
     const size_t slot =
         store_.batchCount.fetch_add(1, std::memory_order_relaxed);
     if (slot < store_.batches.size())
-        store_.batches[slot] = {t0, t1, t_worker,
-                                static_cast<uint32_t>(n)};
+        store_.batches[slot] = {t0, t1, static_cast<uint32_t>(n)};
     return n;
-}
-
-void
-TracedPort::bindWorker(unsigned worker)
-{
-    t_worker = worker;
-    inner_.bindWorker(worker);
 }
 
 CheckingTransport::CheckingTransport(core::Transport& inner,

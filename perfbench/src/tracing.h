@@ -53,7 +53,7 @@ struct TraceStore {
     // Service workers: ServerPort::recvReqBatch calls.
     struct BatchSpan {
         int64_t start = 0, end = 0;
-        uint32_t worker = 0, size = 0;
+        uint32_t size = 0;
     };
     std::vector<BatchSpan> batches;
     std::atomic<size_t> batchCount{0};
@@ -116,7 +116,7 @@ class TracedPort final : public core::ServerPort {
     bool recvReq(core::Request& out) override { return inner_.recvReq(out); }
     size_t recvReqBatch(std::vector<core::Request>& out,
                         size_t max) override;
-    void bindWorker(unsigned worker) override;
+    void bindWorker(unsigned worker) override { inner_.bindWorker(worker); }
     void sendResp(core::Response&& resp) override
     {
         inner_.sendResp(std::move(resp));

@@ -55,6 +55,32 @@ secondsSince(int64_t t0)
     return static_cast<double>(threadCpuNs() - t0) / 1e9;
 }
 
+// Keeps the reference computation from being optimized away.
+volatile uint64_t g_reference_sink = 0;
+
+}  // namespace
+
+double
+referenceSeconds()
+{
+    static std::vector<uint64_t> buf(size_t{1} << 20);
+    uint64_t x = 0x9e3779b97f4a7c15ull;
+    uint64_t acc = 0;
+    const int64_t t0 = threadCpuNs();
+    for (int i = 0; i < 1500000; i++) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        uint64_t& v = buf[(x >> 11) & (buf.size() - 1)];
+        v = v * 0x100000001b3ull + x;
+        acc += v >> 3;
+    }
+    g_reference_sink = g_reference_sink ^ acc;
+    return secondsSince(t0);
+}
+
+namespace {
+
 /** Accumulates a canonical text rendering of outputs into a digest. */
 class Digest {
   public:

@@ -16,7 +16,10 @@
  * Work is handed out one app at a time, so a run can spread repeated
  * calls over its whole length. Times are the calling thread's CPU
  * time: on a shared host the guest charges no thread for the slices
- * the hypervisor steals.
+ * the hypervisor steals. It still runs slower or faster for minutes
+ * at a time (another tenant on the sibling hyperthread or in the
+ * shared cache), so referenceSeconds() gauges the host's speed with a
+ * fixed computation of its own, run beside the calls.
  */
 
 #include <cstdint>
@@ -30,6 +33,19 @@ namespace tb::perfbench {
 
 /** Seed whose output digest is recorded as the golden. */
 inline constexpr uint64_t kDefaultSeed = 42;
+
+/** Median referenceSeconds() over an untraced benchmark run, where it
+ * runs between the real-time phases, on the host the benchmark was
+ * tuned on (4 vCPUs, x86-64, Release build) in a quiet period. */
+inline constexpr double kReferenceNominalSeconds = 0.0115;
+
+/**
+ * Thread CPU seconds of a fixed computation that does no repository
+ * work: pseudo-random read-modify-writes over 8 MB mixed with integer
+ * hashing, the kind of work the cache and event simulations do. The
+ * host slows it as it slows them.
+ */
+double referenceSeconds();
 
 /** Named pass/fail checks on one call's outputs. */
 struct Checks {
