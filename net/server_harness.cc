@@ -587,60 +587,6 @@ TcpServer::closeConn(const std::shared_ptr<Conn>& conn)
     conns_.erase(conn);
 }
 
-// -------------------------------------------------- TcpClientTransport
-
-TcpClientTransport::TcpClientTransport(const std::string& host,
-                                       uint16_t port)
-    : fd_(connectTcp(host, port))
-{
-    if (fd_ < 0)
-        TB_LOG_ERROR("loopback transport: connect to %s:%u failed",
-                     host.c_str(), static_cast<unsigned>(port));
-}
-
-TcpClientTransport::~TcpClientTransport()
-{
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
-void
-TcpClientTransport::sendRequest(core::Request&& req)
-{
-    if (fd_ < 0)
-        return;
-    FdStream stream(fd_);
-    if (!sendRequestFrame(stream, req))
-        TB_LOG_WARN("loopback transport: request write failed");
-}
-
-bool
-TcpClientTransport::recvResponse(core::Response& out)
-{
-    if (fd_ < 0)
-        return false;
-    FdStream stream(fd_);
-    const WireResult res = recvResponseFrame(stream, out);
-    if (res != WireResult::kOk) {
-        if (res == WireResult::kBadFrame)
-            TB_LOG_WARN("loopback transport: malformed response "
-                        "frame");
-        return false;
-    }
-    // The response-path wire cost belongs to sojourn: completion is
-    // when the *client* has the response, not when the server wrote
-    // it.
-    out.timing.endNs = util::monotonicNs();
-    return true;
-}
-
-void
-TcpClientTransport::finishSend()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_WR);
-}
-
 // ------------------------------------------------ MultiConnTcpTransport
 
 MultiConnTcpTransport::MultiConnTcpTransport(const std::string& host,
@@ -654,6 +600,12 @@ MultiConnTcpTransport::MultiConnTcpTransport(const std::string& host,
     live_ = std::make_unique<std::atomic<bool>[]>(fds_.size());
     for (size_t k = 0; k < fds_.size(); k++)
         live_[k].store(fds_[k] >= 0, std::memory_order_relaxed);
+    pfds_.reserve(n);
+    idx_.reserve(n);
+    rx_ = std::make_unique<uint8_t[]>(n * kRxBytes);
+    rx_len_.assign(n, 0);
+    // One read decodes at most kRxBytes / frame size responses.
+    ready_.reserve(n * (kRxBytes / kResponseFrameBytes));
     if (!connected())
         TB_LOG_ERROR("multi-conn transport: connect %u x %s:%u failed",
                      n, host.c_str(), static_cast<unsigned>(port));
@@ -707,47 +659,88 @@ MultiConnTcpTransport::sendRequest(core::Request&& req)
 bool
 MultiConnTcpTransport::recvResponse(core::Response& out)
 {
-    for (;;) {
-        pfds_.clear();
-        idx_.clear();
-        for (size_t k = 0; k < fds_.size(); k++) {
-            if (!live_[k].load(std::memory_order_relaxed) ||
-                fds_[k] < 0)
-                continue;
-            struct pollfd p;
-            p.fd = fds_[k];
-            p.events = POLLIN;
-            p.revents = 0;
-            pfds_.push_back(p);
-            idx_.push_back(k);
-        }
-        if (pfds_.empty())
+    while (ready_head_ == ready_.size()) {
+        ready_.clear();
+        ready_head_ = 0;
+        if (!collect())
             return false;  // every connection reached end of stream
-        const int n = ::poll(pfds_.data(),
-                             static_cast<nfds_t>(pfds_.size()), -1);
-        if (n <= 0) {
-            if (n < 0 && errno != EINTR)
-                return false;
+    }
+    out = ready_[ready_head_++];
+    return true;
+}
+
+bool
+MultiConnTcpTransport::collect()
+{
+    pfds_.clear();
+    idx_.clear();
+    for (size_t k = 0; k < fds_.size(); k++) {
+        if (!live_[k].load(std::memory_order_relaxed) || fds_[k] < 0)
+            continue;
+        struct pollfd p;
+        p.fd = fds_[k];
+        p.events = POLLIN;
+        p.revents = 0;
+        pfds_.push_back(p);
+        idx_.push_back(k);
+    }
+    if (pfds_.empty())
+        return false;
+    const int n =
+        ::poll(pfds_.data(), static_cast<nfds_t>(pfds_.size()), -1);
+    if (n < 0 && errno != EINTR)
+        return false;
+    for (size_t j = 0; n > 0 && j < pfds_.size(); j++) {
+        if (!(pfds_[j].revents & (POLLIN | POLLHUP | POLLERR)))
+            continue;
+        const size_t k = idx_[j];
+        uint8_t* buf = rx_.get() + k * kRxBytes;
+        FdStream stream(fds_[k]);
+        const ssize_t got =
+            stream.readSome(buf + rx_len_[k], kRxBytes - rx_len_[k]);
+        if (got <= 0) {
+            // EOF at a frame boundary is the server's normal end of
+            // stream; anything else loses a response.
+            if (got < 0)
+                TB_LOG_WARN("multi-conn transport: read failed; "
+                            "retiring connection %zu",
+                            k);
+            else if (rx_len_[k] > 0)
+                TB_LOG_WARN("multi-conn transport: connection %zu "
+                            "closed mid-frame",
+                            k);
+            live_[k].store(false, std::memory_order_relaxed);
             continue;
         }
-        for (size_t k = 0; k < pfds_.size(); k++) {
-            if (!(pfds_[k].revents & (POLLIN | POLLHUP | POLLERR)))
-                continue;
-            FdStream stream(pfds_[k].fd);
-            const WireResult res = recvResponseFrame(stream, out);
-            if (res == WireResult::kOk) {
-                // Completion is client-side receipt (see
-                // TcpClientTransport).
-                out.timing.endNs = util::monotonicNs();
-                return true;
-            }
-            if (res == WireResult::kBadFrame)
+        // Completion is when the *client* has the response, not when
+        // the server wrote it, so the response-path wire cost lands in
+        // sojourn; every frame of one read arrived together.
+        const int64_t now = util::monotonicNs();
+        const size_t len = rx_len_[k] + static_cast<size_t>(got);
+        size_t head = 0;
+        for (;;) {
+            core::Response resp;
+            size_t consumed = 0;
+            const DecodeResult dr = tryDecodeResponseFrame(
+                buf + head, len - head, resp, consumed);
+            if (dr == DecodeResult::kNeedMore)
+                break;
+            if (dr == DecodeResult::kBadFrame) {
                 TB_LOG_WARN("multi-conn transport: malformed response "
-                            "frame");
-            // EOF (or poisoned): retire it.
-            live_[idx_[k]].store(false, std::memory_order_relaxed);
+                            "frame; retiring connection %zu",
+                            k);
+                live_[k].store(false, std::memory_order_relaxed);
+                break;
+            }
+            resp.timing.endNs = now;
+            ready_.push_back(resp);
+            head += consumed;
         }
+        // Keep the partial tail (under one frame) for the next read.
+        std::memmove(buf, buf + head, len - head);
+        rx_len_[k] = len - head;
     }
+    return true;
 }
 
 void
@@ -806,20 +799,20 @@ PerRequestTcpTransport::recvResponse(core::Response& out)
             continue;  // re-merge: more may have queued meanwhile
         }
 
-        std::vector<struct pollfd> pfds(pending_.size());
+        pfds_.resize(pending_.size());
         for (size_t k = 0; k < pending_.size(); k++) {
-            pfds[k].fd = pending_[k];
-            pfds[k].events = POLLIN;
-            pfds[k].revents = 0;
+            pfds_[k].fd = pending_[k];
+            pfds_[k].events = POLLIN;
+            pfds_[k].revents = 0;
         }
         // Short timeout so sockets sent while we were polling join
         // the set promptly.
-        const int n = ::poll(pfds.data(),
-                             static_cast<nfds_t>(pfds.size()), 1);
+        const int n = ::poll(pfds_.data(),
+                             static_cast<nfds_t>(pfds_.size()), 1);
         if (n <= 0)
             continue;
-        for (size_t k = 0; k < pfds.size(); k++) {
-            if (!(pfds[k].revents & (POLLIN | POLLHUP | POLLERR)))
+        for (size_t k = 0; k < pfds_.size(); k++) {
+            if (!(pfds_[k].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
             fd = pending_[k];
             pending_.erase(pending_.begin() +
@@ -868,25 +861,13 @@ LoopbackHarness::run(apps::App& app, const core::HarnessConfig& cfg)
     // connections == 0: one per server worker (TailBench++-style).
     const unsigned conns =
         opts_.connections == 0 ? workers : opts_.connections;
-    std::unique_ptr<core::Transport> transport;
-    bool connected = false;
-    if (conns <= 1) {
-        auto t = std::make_unique<TcpClientTransport>("127.0.0.1",
-                                                      server.port());
-        connected = t->connected();
-        transport = std::move(t);
-    } else {
-        auto t = std::make_unique<MultiConnTcpTransport>(
-            "127.0.0.1", server.port(), conns);
-        connected = t->connected();
-        transport = std::move(t);
-    }
-    if (!connected) {
+    MultiConnTcpTransport transport("127.0.0.1", server.port(), conns);
+    if (!transport.connected()) {
         server.stop();
         return core::RunResult{};
     }
     core::LoadClient client;
-    core::RunResult result = client.run(app, cfg, *transport);
+    core::RunResult result = client.run(app, cfg, transport);
     server.stop();
     result.serviceWorkers = server.workers();
     result.pinnedWorkers = server.pinnedWorkers();

@@ -7,9 +7,10 @@
  * LoadClient + ServiceLoop composition as the integrated harness,
  * with the in-process queue transport swapped for real TCP sockets.
  *
- *   LoopbackHarness   one persistent connection over 127.0.0.1; every
- *                     request pays kernel socket + framing costs but
- *                     connection setup is amortized over the run.
+ *   LoopbackHarness   persistent connections over 127.0.0.1 (one by
+ *                     default); every request pays kernel socket +
+ *                     framing costs but connection setup is
+ *                     amortized over the run.
  *   NetworkedHarness  one connection *per request* (client-side RST
  *                     close, so ephemeral ports are not exhausted):
  *                     each request additionally pays connect/accept
@@ -154,34 +155,22 @@ class TcpServer {
     std::set<std::shared_ptr<Conn>> conns_ TB_GUARDED_BY(conns_mu_);
 };
 
-/** Client transport over one persistent connection (LoopbackHarness).
- * sendRequest writes a frame; recvResponse reads one and restamps
- * endNs at receipt; finishSend sends FIN via shutdown(SHUT_WR). */
-class TcpClientTransport final : public core::Transport {
-  public:
-    TcpClientTransport(const std::string& host, uint16_t port);
-    ~TcpClientTransport() override;
-
-    bool connected() const { return fd_ >= 0; }
-
-    void sendRequest(core::Request&& req) override;
-    bool recvResponse(core::Response& out) override;
-    void finishSend() override;
-
-  private:
-    int fd_ = -1;
-};
-
 /**
- * Client transport over N persistent connections (TailBench++-style
- * multi-client scaling): a single socket's frame serialization
- * saturates long before the server does, so sendRequest round-robins
- * requests across the connections and recvResponse multiplexes the
- * collection across all of them with poll, restamping endNs at
- * receipt. Pair the connection count with the server's worker count —
- * connection serials are the sharded port's placement key, so N
- * connections against N shards give every worker its own request
- * stream end to end.
+ * Client transport over N >= 1 persistent connections
+ * (LoopbackHarness; TailBench++-style multi-client scaling, since one
+ * socket's frame serialization saturates long before a multi-worker
+ * server does). sendRequest writes each request frame in one write,
+ * round-robin across the live connections. recvResponse serves a
+ * decoded-response queue and polls only when it is empty: one wakeup
+ * reads whatever every ready connection holds into that connection's
+ * fixed receive buffer, decodes every whole frame (a partial tail
+ * waits for the next read) and stamps each frame's endNs with the
+ * completion time of the read that delivered it. EOF, a read error or
+ * a malformed frame retires a connection; finishSend sends FIN on
+ * all of them. Pair the connection count with the server's worker
+ * count — connection serials are the sharded port's placement key,
+ * so N connections against N shards give every worker its own
+ * request stream end to end.
  */
 class MultiConnTcpTransport final : public core::Transport {
   public:
@@ -197,6 +186,10 @@ class MultiConnTcpTransport final : public core::Transport {
     void finishSend() override;
 
   private:
+    /** One poll wakeup: drains every ready connection into ready_.
+     * False once no connection is live. */
+    bool collect();
+
     std::vector<int> fds_;
     /** Per-connection liveness, shared between the two transport
      * threads: the collector clears a slot on EOF / poisoned stream,
@@ -206,11 +199,22 @@ class MultiConnTcpTransport final : public core::Transport {
      * liveness is advisory; a stale read only writes one more frame
      * to a dead socket, which fails the same graceful way. */
     std::unique_ptr<std::atomic<bool>[]> live_;
-    /** Reused poll set and its fds_ index map — recvResponse runs
-     * once per response on the latency hot path, so its scratch must
-     * not allocate per call; collector-thread-only. */
+    /** Collector-thread-only state below: recvResponse runs on the
+     * latency hot path, so none of it allocates after construction.
+     * Reused poll set and its fds_ index map. */
     std::vector<struct pollfd> pfds_;
     std::vector<size_t> idx_;
+    static constexpr size_t kRxBytes = 16 * 1024;
+    /** Per-connection receive buffers (kRxBytes each, contiguous)
+     * and the bytes each holds — at most one partial frame between
+     * wakeups. */
+    std::unique_ptr<uint8_t[]> rx_;
+    std::vector<size_t> rx_len_;
+    /** Decoded responses not yet returned, served from ready_head_;
+     * reserved for one full buffer per connection, so it never
+     * grows. */
+    std::vector<core::Response> ready_;
+    size_t ready_head_ = 0;
     /** Generator-side round-robin cursor (generator-thread-only). */
     size_t rr_ = 0;
 };
@@ -238,8 +242,10 @@ class PerRequestTcpTransport final : public core::Transport {
     uint16_t port_;
     core::BlockingQueue<int> inflight_;
     /** Sockets moved out of inflight_ and awaiting a readable
-     * response; collector-thread-only, no lock. */
+     * response, and their reused poll set; collector-thread-only, no
+     * lock. */
     std::vector<int> pending_;
+    std::vector<struct pollfd> pfds_;
 };
 
 /** Loopback configuration knobs (defaults reproduce the classic

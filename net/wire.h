@@ -65,6 +65,10 @@ enum class WireResult {
     kBadFrame,
 };
 
+/** Encodes the whole frame (header + payload) into one reused
+ * per-thread buffer and hands it to writeFull once, so a socket sees
+ * one write per request. False on an oversized payload or a write
+ * error. */
 bool sendRequestFrame(ByteStream& s, const core::Request& req);
 WireResult recvRequestFrame(ByteStream& s, core::Request& out);
 
@@ -76,9 +80,9 @@ WireResult recvResponseFrame(ByteStream& s, core::Response& out);
 // A reactor cannot block in readExact: its socket delivers whatever
 // bytes the kernel has, cut anywhere — possibly mid-header. These
 // entry points frame over an in-memory byte window instead of a
-// ByteStream, reusing the exact same decode path (the window is
-// adapted to a ByteStream internally), so the stream-tested framing
-// semantics and the incremental ones cannot drift apart.
+// ByteStream, sharing the stream decoders' header parsing and
+// validation, so the stream-tested framing semantics and the
+// incremental ones cannot drift apart.
 
 /** Request frame header size (magic + payloadLen + id + genNs). */
 inline constexpr size_t kRequestHeaderBytes = 24;

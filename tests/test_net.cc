@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -64,6 +65,7 @@ class MemStream final : public ByteStream {
     ssize_t
     writeSome(const void* buf, size_t len) override
     {
+        writes_++;
         const size_t n = std::min(len, max_write_);
         const uint8_t* p = static_cast<const uint8_t*>(buf);
         data_.insert(data_.end(), p, p + n);
@@ -72,6 +74,8 @@ class MemStream final : public ByteStream {
 
     std::vector<uint8_t> data_;
     size_t pos_ = 0;
+    /** writeSome calls so far: a frame's syscall count on a socket. */
+    unsigned writes_ = 0;
 
   private:
     size_t max_read_;
@@ -87,6 +91,51 @@ makeTestApp()
     cfg.sizeFactor = 0.05;  // mean service ~25 us
     app->init(cfg);
     return app;
+}
+
+/** Listening socket on an ephemeral 127.0.0.1 port (written to
+ * @p port) — a hand-rolled wire-level peer for the client
+ * transports. */
+int
+listenLoopback(uint16_t& port)
+{
+    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    CHECK(lfd >= 0);
+    struct sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    CHECK(::bind(lfd, reinterpret_cast<struct sockaddr*>(&addr),
+                 sizeof(addr)) == 0);
+    CHECK(::listen(lfd, 8) == 0);
+    socklen_t alen = sizeof(addr);
+    CHECK(::getsockname(lfd, reinterpret_cast<struct sockaddr*>(&addr),
+                        &alen) == 0);
+    port = ntohs(addr.sin_port);
+    return lfd;
+}
+
+/** Encoded response frame carrying server-side stamp @p endNs. */
+std::vector<uint8_t>
+responseFrame(uint64_t id, int64_t endNs)
+{
+    Response resp;
+    resp.id = id;
+    resp.timing.genNs = 1;
+    resp.timing.startNs = 2;
+    resp.timing.endNs = endNs;
+    std::vector<uint8_t> frame(tb::net::kResponseFrameBytes);
+    tb::net::encodeResponseFrame(frame.data(), resp);
+    return frame;
+}
+
+/** Writes @p len bytes of @p data to socket @p fd with one write. */
+void
+sendRaw(int fd, const uint8_t* data, size_t len)
+{
+    CHECK(::send(fd, data, len, MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(len));
 }
 
 void
@@ -172,6 +221,44 @@ main()
             CHECK_EQ(out.payload.size(), static_cast<size_t>(i));
         }
         Request out;
+        CHECK(tb::net::recvRequestFrame(s, out) == WireResult::kEof);
+    }
+
+    // One write per frame: header and payload reach the stream in a
+    // single writeSome, so a socket sees one send() per request.
+    {
+        MemStream s(1 << 20, 1 << 20);
+        Request in;
+        in.id = 12;
+        in.payload = "small";
+        CHECK(tb::net::sendRequestFrame(s, in));
+        CHECK_EQ(s.writes_, 1u);
+        CHECK_EQ(s.data_.size(),
+                 tb::net::kRequestHeaderBytes + in.payload.size());
+    }
+
+    // A payload far above any small-buffer size still round-trips
+    // through the fragmenting stream, and a small frame after it is
+    // not polluted by the larger frame's leftover bytes.
+    {
+        MemStream s(4093, 1021);
+        Request big;
+        big.id = 13;
+        std::string payload(300000, 'b');
+        payload.back() = 'e';  // a truncated copy would lose this
+        big.payload = payload;
+        CHECK(tb::net::sendRequestFrame(s, big));
+        Request small;
+        small.id = 14;
+        small.payload = "tail";
+        CHECK(tb::net::sendRequestFrame(s, small));
+        Request out;
+        CHECK(tb::net::recvRequestFrame(s, out) == WireResult::kOk);
+        CHECK_EQ(out.id, big.id);
+        CHECK(out.payload == big.payload);
+        CHECK(tb::net::recvRequestFrame(s, out) == WireResult::kOk);
+        CHECK_EQ(out.id, small.id);
+        CHECK(out.payload == small.payload);
         CHECK(tb::net::recvRequestFrame(s, out) == WireResult::kEof);
     }
 
@@ -343,8 +430,8 @@ main()
         CHECK(server.listening());
         CHECK(server.port() != 0);
         server.start();
-        tb::net::TcpClientTransport transport("127.0.0.1",
-                                              server.port());
+        tb::net::MultiConnTcpTransport transport(
+            "127.0.0.1", server.port(), /*connections=*/1);
         CHECK(transport.connected());
 
         tb::util::Rng rng(7);
@@ -373,8 +460,10 @@ main()
         tb::net::TcpServer server(*app, 2);
         CHECK(server.listening());
         server.start();
-        tb::net::TcpClientTransport a("127.0.0.1", server.port());
-        tb::net::TcpClientTransport b("127.0.0.1", server.port());
+        tb::net::MultiConnTcpTransport a(
+            "127.0.0.1", server.port(), /*connections=*/1);
+        tb::net::MultiConnTcpTransport b(
+            "127.0.0.1", server.port(), /*connections=*/1);
         CHECK(a.connected());
         CHECK(b.connected());
 
@@ -561,8 +650,10 @@ main()
         CHECK(server.ioMode() == tb::net::IoMode::kReactor);
         CHECK(server.reactorCount() >= 1u);
         server.start();
-        tb::net::TcpClientTransport a("127.0.0.1", server.port());
-        tb::net::TcpClientTransport b("127.0.0.1", server.port());
+        tb::net::MultiConnTcpTransport a(
+            "127.0.0.1", server.port(), /*connections=*/1);
+        tb::net::MultiConnTcpTransport b(
+            "127.0.0.1", server.port(), /*connections=*/1);
         CHECK(a.connected());
         CHECK(b.connected());
 
@@ -637,7 +728,8 @@ main()
         const int bad_fd =
             tb::net::connectTcp("127.0.0.1", server.port());
         CHECK(bad_fd >= 0);
-        tb::net::TcpClientTransport good("127.0.0.1", server.port());
+        tb::net::MultiConnTcpTransport good(
+            "127.0.0.1", server.port(), /*connections=*/1);
         CHECK(good.connected());
 
         const char garbage[] = "this is not a TBRQ frame";
@@ -670,21 +762,8 @@ main()
     // graceful loss is the contract; swallowing 1/N of the load
     // forever (or a wedged recvResponse) is the bug this guards.
     {
-        const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-        CHECK(lfd >= 0);
-        struct sockaddr_in addr;
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = 0;
-        CHECK(::bind(lfd, reinterpret_cast<struct sockaddr*>(&addr),
-                     sizeof(addr)) == 0);
-        CHECK(::listen(lfd, 8) == 0);
-        socklen_t alen = sizeof(addr);
-        CHECK(::getsockname(lfd,
-                            reinterpret_cast<struct sockaddr*>(&addr),
-                            &alen) == 0);
-        const uint16_t port = ntohs(addr.sin_port);
+        uint16_t port = 0;
+        const int lfd = listenLoopback(port);
 
         std::thread srv([lfd] {
             const int a = ::accept(lfd, nullptr, nullptr);
@@ -757,6 +836,94 @@ main()
         ::close(lfd);
     }
 
+    // Batch-decoding collector against a raw accepted socket: three
+    // responses coalesced into one write, then one response split
+    // across two writes with a pause between them. All four come back
+    // exactly once, each stamped at client receipt — never before the
+    // server encoded it, and the split one only after its last bytes
+    // were sent.
+    {
+        uint16_t port = 0;
+        const int lfd = listenLoopback(port);
+        std::atomic<int64_t> server_end_ns[4] = {};
+        std::atomic<int64_t> tail_sent_ns{0};
+        std::thread srv([lfd, &server_end_ns, &tail_sent_ns] {
+            const int fd = ::accept(lfd, nullptr, nullptr);
+            CHECK(fd >= 0);
+            std::vector<uint8_t> run;
+            for (uint64_t id = 0; id < 3; id++) {
+                server_end_ns[id].store(tb::util::monotonicNs());
+                const std::vector<uint8_t> f =
+                    responseFrame(id, server_end_ns[id].load());
+                run.insert(run.end(), f.begin(), f.end());
+            }
+            sendRaw(fd, run.data(), run.size());
+            server_end_ns[3].store(tb::util::monotonicNs());
+            const std::vector<uint8_t> split =
+                responseFrame(3, server_end_ns[3].load());
+            sendRaw(fd, split.data(), 20);  // cut mid-header
+            std::this_thread::sleep_for(std::chrono::milliseconds(30));
+            tail_sent_ns.store(tb::util::monotonicNs());
+            sendRaw(fd, split.data() + 20, split.size() - 20);
+            ::shutdown(fd, SHUT_WR);
+            ::close(fd);
+        });
+
+        tb::net::MultiConnTcpTransport transport("127.0.0.1", port,
+                                                 /*connections=*/1);
+        CHECK(transport.connected());
+        std::set<uint64_t> seen;
+        Response resp;
+        while (transport.recvResponse(resp)) {
+            CHECK(seen.insert(resp.id).second);  // no duplicates
+            CHECK(resp.id < 4 &&
+                  resp.timing.endNs >= server_end_ns[resp.id].load());
+            if (resp.id == 3)
+                CHECK(resp.timing.endNs >= tail_sent_ns.load());
+        }
+        CHECK_EQ(seen.size(), static_cast<size_t>(4));
+        srv.join();
+        ::close(lfd);
+    }
+
+    // EOF in the middle of a frame retires that connection without
+    // inventing a response from the partial bytes; the other
+    // connection drains fully, and then the stream ends.
+    {
+        uint16_t port = 0;
+        const int lfd = listenLoopback(port);
+        std::thread srv([lfd] {
+            const int a = ::accept(lfd, nullptr, nullptr);
+            const int b = ::accept(lfd, nullptr, nullptr);
+            CHECK(a >= 0 && b >= 0);
+            const int64_t now = tb::util::monotonicNs();
+            const std::vector<uint8_t> a0 = responseFrame(10, now);
+            const std::vector<uint8_t> a1 = responseFrame(11, now);
+            sendRaw(a, a0.data(), a0.size());
+            sendRaw(a, a1.data(), a1.size() / 2);
+            ::close(a);  // truncates response 11
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            for (uint64_t id = 20; id < 23; id++) {
+                const std::vector<uint8_t> f = responseFrame(id, now);
+                sendRaw(b, f.data(), f.size());
+            }
+            ::shutdown(b, SHUT_WR);
+            ::close(b);
+        });
+
+        tb::net::MultiConnTcpTransport transport("127.0.0.1", port,
+                                                 /*connections=*/2);
+        CHECK(transport.connected());
+        std::set<uint64_t> seen;
+        Response resp;
+        while (transport.recvResponse(resp))
+            CHECK(seen.insert(resp.id).second);
+        CHECK(seen == std::set<uint64_t>({10, 20, 21, 22}));
+        CHECK(!transport.recvResponse(resp));  // stays ended
+        srv.join();
+        ::close(lfd);
+    }
+
     // Regression: elastic reader spawn under concurrent accept churn
     // (threads backend). Three client threads open eight persistent
     // connections each — every one pins a reader for its whole life,
@@ -778,15 +945,16 @@ main()
         for (unsigned t = 0; t < kClientThreads; t++) {
             clients.emplace_back([&, t] {
                 std::vector<
-                    std::unique_ptr<tb::net::TcpClientTransport>>
+                    std::unique_ptr<tb::net::MultiConnTcpTransport>>
                     conns;
                 // Open all connections up front so they stay live
                 // concurrently — that is what forces the elastic
                 // spawn past the seeded reader count.
                 for (unsigned c = 0; c < kConnsPerThread; c++) {
                     conns.push_back(
-                        std::make_unique<tb::net::TcpClientTransport>(
-                            "127.0.0.1", server.port()));
+                        std::make_unique<
+                            tb::net::MultiConnTcpTransport>(
+                            "127.0.0.1", server.port(), 1));
                     if (!conns.back()->connected())
                         return;
                 }
