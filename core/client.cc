@@ -36,9 +36,11 @@ LoadClient::run(apps::App& app, const HarnessConfig& cfg,
 
     // Open-loop generator (this thread): the arrival process lays out
     // an absolute schedule from the start time. genNs is the
-    // *scheduled* arrival; sleepUntilNs returns immediately if the
+    // *scheduled* arrival; the pacer returns immediately if the
     // generator has fallen behind, so the schedule never stretches to
-    // accommodate a slow server.
+    // accommodate a slow server. The pacer is built after the
+    // collector thread is spawned, so only this thread runs without
+    // timer slack (util/clock.h); the collector keeps the default.
     //
     // genRequest() and sendRequest() both run on this critical path,
     // so a slow generator — or an expensive transport send, e.g. a
@@ -52,6 +54,7 @@ LoadClient::run(apps::App& app, const HarnessConfig& cfg,
     std::vector<GenLagSample> gen_lag;
     gen_lag.reserve(cfg.measuredRequests);
     {
+        util::Pacer pacer;
         util::Rng rng(cfg.seed);
         const std::unique_ptr<ArrivalProcess> process =
             makeArrivalProcess(cfg.arrival, cfg.qps);
@@ -63,7 +66,7 @@ LoadClient::run(apps::App& app, const HarnessConfig& cfg,
             req.id = i;
             req.payload = app.genRequest(rng);
             req.genNs = scheduled;
-            util::sleepUntilNs(scheduled);
+            pacer.waitUntil(scheduled);
             transport.sendRequest(std::move(req));
             const int64_t lag = util::monotonicNs() - scheduled;
             if (lag > max_lag_ns)

@@ -10,11 +10,12 @@
  * and result building. Every real-time configuration is "LoadClient +
  * some Transport"; the methodology lives here exactly once.
  *
- * Threading: run() uses the calling thread as the generator (genNs is
- * the *scheduled* arrival, stamped before sendRequest — a slow server
- * or transport shows up as sojourn, never as missing load) and one
- * collector thread draining Transport::recvResponse. Warmup responses
- * are dropped at collection; measured ones feed buildRunResult.
+ * Threading: run() uses the calling thread as the generator, paced by
+ * a util::Pacer for the whole run (genNs is the *scheduled* arrival,
+ * stamped before sendRequest — a slow server or transport shows up as
+ * sojourn, never as missing load) and one collector thread draining
+ * Transport::recvResponse. Warmup responses are dropped at
+ * collection; measured ones feed buildRunResult.
  */
 
 #include <vector>

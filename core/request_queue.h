@@ -30,7 +30,10 @@
  *             regression test in tests/test_queue.cc pins this down).
  *   batching  pushBatch moves N items under one lock acquisition and
  *             fires at most one notify; popAll swaps the entire
- *             backlog out in O(1) when the consumed prefix is empty.
+ *             backlog out in O(1) when the consumed prefix is empty,
+ *             and tryPopAll does the same without ever becoming a
+ *             waiter (the in-process response collector drains on a
+ *             timer through it, so workers never notify it).
  *
  * Lock invariant (compile-checked under -Wthread-safety, see
  * util/thread_annotations.h): queue_, head_, waiters_ and closed_ are
@@ -227,19 +230,23 @@ class BlockingQueue {
             cv_.wait(lock);
             waiters_--;
         }
-        const size_t n = pendingLocked();
-        if (n == 0)
-            return 0;
-        if (head_ == 0) {
-            queue_.swap(out);
-        } else {
-            out.reserve(n);
-            for (size_t i = head_; i < queue_.size(); i++)
-                out.push_back(std::move(queue_[i]));
-            queue_.clear();
-            head_ = 0;
-        }
-        return n;
+        return takeAllLocked(out);
+    }
+
+    /**
+     * Non-blocking whole-backlog pop: popAll without the wait, so a
+     * consumer that polls on its own timer is never a waiter and
+     * producers never pay a notify for it. @p closed reports, under
+     * the same lock, whether the queue was closed — a 0 return with
+     * @p closed set means closed AND drained.
+     */
+    size_t
+    tryPopAll(std::vector<T>& out, bool& closed)
+    {
+        out.clear();
+        util::MutexLock lock(mu_);
+        closed = closed_;
+        return takeAllLocked(out);
     }
 
     /** Non-blocking pop: false when the queue is currently empty
@@ -297,6 +304,27 @@ class BlockingQueue {
     pendingLocked() const TB_REQUIRES(mu_)
     {
         return queue_.size() - head_;
+    }
+
+    /** Moves the whole backlog into the (empty) @p out: an O(1) swap
+     * when the consumed prefix is empty, so capacities ping-pong
+     * between the two vectors with zero allocation. */
+    size_t
+    takeAllLocked(std::vector<T>& out) TB_REQUIRES(mu_)
+    {
+        const size_t n = pendingLocked();
+        if (n == 0)
+            return 0;
+        if (head_ == 0) {
+            queue_.swap(out);
+        } else {
+            out.reserve(n);
+            for (size_t i = head_; i < queue_.size(); i++)
+                out.push_back(std::move(queue_[i]));
+            queue_.clear();
+            head_ = 0;
+        }
+        return n;
     }
 
     void

@@ -1,5 +1,7 @@
 #include "core/transport.h"
 
+#include "util/clock.h"
+
 namespace tb::core {
 
 Transport::~Transport() = default;
@@ -45,10 +47,14 @@ InProcessTransport::sendRequest(Request&& req)
 bool
 InProcessTransport::recvResponse(Response& out)
 {
-    if (rx_head_ >= rx_.size()) {
+    while (rx_head_ >= rx_.size()) {
         rx_head_ = 0;
-        if (responses_.popAll(rx_) == 0)
+        bool closed = false;
+        if (responses_.tryPopAll(rx_, closed) > 0)
+            break;
+        if (closed)
             return false;
+        util::sleepForNs(kCollectPeriodNs);
     }
     out = std::move(rx_[rx_head_]);
     rx_head_++;

@@ -28,6 +28,7 @@
  * service-side stamp untouched (there is no hop to pay).
  */
 
+#include <cstdint>
 #include <vector>
 
 #include "core/harness.h"
@@ -125,7 +126,9 @@ class ServerPort {
  * marshalling, zero copies beyond the queue hand-off — the
  * lowest-overhead transport, which is why the paper uses the
  * integrated setup as the reference the networked ones are validated
- * against.
+ * against. The response side is drained lazily: recvResponse takes the
+ * whole backlog without blocking and naps kCollectPeriodNs when there
+ * is none, returning false once the queue is closed and drained.
  *
  * The request side is a RequestPool (core/sharded_port.h): the
  * default PortOptions keep the classic single shared queue; a sharded
@@ -135,6 +138,17 @@ class ServerPort {
  */
 class InProcessTransport final : public Transport {
   public:
+    /**
+     * The collector's nap when the response queue is empty. The
+     * collector polls on this timer rather than parking as a queue
+     * waiter, so service workers never pay a futex wake per response.
+     * Safe only because the in-process endNs is stamped by the
+     * service loop: how soon a response is collected is never
+     * measured (a transport that stamps endNs on receipt, like
+     * net::MultiConnTcpTransport, must collect promptly instead).
+     */
+    static constexpr int64_t kCollectPeriodNs = 200000;
+
     explicit InProcessTransport(const PortOptions& opts = {});
 
     ServerPort& serverPort() { return port_; }
@@ -164,7 +178,7 @@ class InProcessTransport final : public Transport {
     Port port_;
     /** Collector-side buffer: recvResponse (collector thread only,
      * per the Transport contract) drains the whole response backlog
-     * in one popAll swap, then serves from here allocation-free. */
+     * in one tryPopAll swap, then serves from here allocation-free. */
     std::vector<Response> rx_;
     size_t rx_head_ = 0;
 };

@@ -24,6 +24,14 @@ this repo has been burned by, or nearly so):
                 select/std::this_thread::sleep_for) in net/reactor.cc
                 — one blocked loop thread stalls every connection it
                 owns. epoll_wait is the loop's one sanctioned wait.
+  pacing-seam   no timed sleeps (clock_nanosleep/nanosleep/usleep/
+                sleep_for/sleep_until) in core/, bench/, queueing/,
+                sim/ or apps/ — every wait goes through util/clock.*,
+                whose Pacer runs without the kernel's 50 us timer
+                slack. A hand-rolled sleep in a generator wakes tens of
+                microseconds late and silently sends behind schedule.
+                Tests and the server-side net/ throttles are out of
+                scope.
   arrival-seam  no inline interarrival sampling (nextExponential) in
                 measurement-path or bench code outside core/arrival.cc
                 — hand-rolled schedules drift from the pluggable
@@ -50,6 +58,7 @@ CXX_EXT = (".cc", ".h")
 ENV_SEAM_ALLOWED = {"util/env.cc"}
 MEASUREMENT_DIRS = ("core", "sim", "queueing", "net", "apps")
 CLOCK_SEAM_ALLOWED = {"util/clock.h", "util/clock.cc"}
+PACING_SEAM_DIRS = ("core", "bench", "queueing", "sim", "apps")
 ARRIVAL_SEAM_DIRS = ("core", "sim", "queueing", "net", "apps", "bench")
 ARRIVAL_SEAM_ALLOWED = {"core/arrival.cc"}
 
@@ -62,6 +71,9 @@ SYSCLOCK_RE = re.compile(r"std::chrono::system_clock")
 BLOCKING_RE = re.compile(
     r"(?<![\w.])(?:::)?(?:sleep|usleep|nanosleep|poll|select)\s*\("
     r"|std::this_thread::sleep_for")
+SLEEP_RE = re.compile(
+    r"(?<![\w.])(?:::)?(?:clock_nanosleep|nanosleep|usleep)\s*\("
+    r"|\bsleep_(?:for|until)\b")
 NEXT_EXP_RE = re.compile(r"\bnextExponential\s*\(")
 
 ADD_TEST_RE = re.compile(r"add_test\s*\(\s*NAME\s+([^\s)]+)", re.I)
@@ -119,6 +131,8 @@ def check_cxx(path, findings):
                                         MEASUREMENT_DIRS))
     in_arrival_scope = r.startswith(tuple(d + "/" for d in
                                           ARRIVAL_SEAM_DIRS))
+    in_pacing_scope = r.startswith(tuple(d + "/" for d in
+                                         PACING_SEAM_DIRS))
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = LINE_COMMENT_RE.sub("", strip_strings(raw))
@@ -153,6 +167,14 @@ def check_cxx(path, findings):
                      "inline interarrival sampling outside "
                      "core/arrival.cc — schedule through the "
                      "pluggable ArrivalProcess seam"))
+
+            if (in_pacing_scope and SLEEP_RE.search(line)
+                    and not waived(raw, "pacing-seam")):
+                findings.append(
+                    (r, lineno, "pacing-seam",
+                     "timed sleep outside util/clock.* — pace with "
+                     "util::Pacer (slack-free) or nap with "
+                     "util::sleepForNs"))
 
             if (r == "net/reactor.cc" and BLOCKING_RE.search(line)
                     and not waived(raw, "reactor-block")):

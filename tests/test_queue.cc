@@ -160,6 +160,37 @@ main()
         CHECK_EQ(q.popAll(out), static_cast<size_t>(0));
     }
 
+    // tryPopAll never waits: 0 on an open empty queue, the whole
+    // backlog in order, and the closed state read under the same lock
+    // — (0, closed) only once the backlog is drained.
+    {
+        RequestQueue q;
+        std::vector<Request> out;
+        bool closed = true;
+        CHECK_EQ(q.tryPopAll(out, closed), static_cast<size_t>(0));
+        CHECK(!closed);
+        for (uint64_t i = 0; i < 5; i++) {
+            Request r;
+            r.id = i;
+            q.push(std::move(r));
+        }
+        CHECK_EQ(q.tryPopAll(out, closed), static_cast<size_t>(5));
+        CHECK(!closed);
+        for (uint64_t i = 0; i < 5; i++)
+            CHECK_EQ(out[i].id, i);
+        Request r;
+        r.id = 9;
+        q.push(std::move(r));
+        q.close();
+        CHECK_EQ(q.tryPopAll(out, closed), static_cast<size_t>(1));
+        CHECK(closed);
+        CHECK_EQ(out.size(), static_cast<size_t>(1));
+        CHECK_EQ(out[0].id, static_cast<uint64_t>(9));
+        CHECK_EQ(q.tryPopAll(out, closed), static_cast<size_t>(0));
+        CHECK(closed);
+        CHECK(out.empty());
+    }
+
     // Regression: waiter-gated notify must not strand a waiting
     // consumer. Park TWO consumers, then deliver two items — once as
     // back-to-back push() calls, once as a single pushBatch(2). An
